@@ -20,7 +20,8 @@ faster realizations of the *same* steps, selected per solver via
     streaming traversal per step *pair* instead of one per step — the
     memory-traffic model is derived in ``docs/ALGORITHMS.md``. Always
     available; falls back to conservative fused-identical steps when
-    boundary objects are present.
+    boundary objects are present (reported as the stepper's
+    ``"bounded-fallback"`` path).
 ``"sparse"``
     Compact-state kernels (:mod:`repro.accel.sparse`) for sparse
     geometries: the working state shrinks to the fluid-node index list
@@ -29,14 +30,18 @@ faster realizations of the *same* steps, selected per solver via
     over ``n_fluid`` columns instead of the dense grid. Always
     available; the win scales with the solid fraction (see
     ``docs/ALGORITHMS.md``). Boundaries with custom post-collide hooks
-    (full-way bounce-back) are rejected.
+    (full-way bounce-back) are rejected; inlets and outlets take the
+    reported ``"dense-fallback"`` path.
 ``"numba"``
     JIT kernels (:mod:`repro.accel.numba_backend`) that fuse the
     table-driven streaming gather into the adjacent compute stage.
     Requires the optional ``numba`` extra (``pip install .[accel]``).
 
 Every backend reproduces the reference trajectory to machine precision
-(pinned by ``tests/unit/test_accel_backends.py``). Use
+(pinned by ``tests/unit/test_accel_backends.py``). Each stepper names
+the path it takes in ``path`` — ``"lean"``, ``"bounded-fallback"`` or
+``"dense-fallback"`` — which ``Solver.accel_path`` exposes and
+``mrlbm run``/``profile`` print and record. Use
 :func:`available_backends` for runtime discovery,
 :func:`validate_backend` to check a solver/backend combination at
 construction time, and :func:`make_stepper` to bind a backend to a
@@ -68,7 +73,7 @@ rebound to batch-array views and stepped by
 from __future__ import annotations
 
 from .batched import BatchedFusedMRCore, BatchedFusedSTCore
-from .fused import STREAM_MODES, FusedMRCore, FusedSTCore
+from .fused import STREAM_MODES, FusedMRCore, FusedSTCore, solid_index
 from .inplace import InplaceMRCore, InplaceSTCore, aa_to_natural, natural_to_aa
 from .numba_backend import HAS_NUMBA, NumbaMRCore, NumbaSTCore
 from .sparse import SparseMRCore, SparseSTCore
@@ -81,6 +86,7 @@ __all__ = [
     "make_stepper",
     "validate_backend",
     "solver_caps",
+    "solid_index",
     "FusedSTCore",
     "FusedMRCore",
     "BatchedFusedSTCore",
@@ -116,12 +122,12 @@ class _FusedSTStepper:
     """Binds a :class:`FusedSTCore` to an :class:`~repro.solver.standard.STSolver`."""
 
     backend = "fused"
+    path = "lean"
 
     def __init__(self, solver, stream: str = "auto"):
         self.core = FusedSTCore(solver.lat, solver.domain.shape, solver.tau,
                                 stream=stream)
-        solid = solver.domain.solid_mask
-        self._solid = solid if solid.any() else None
+        self._solid = solid_index(solver.domain.solid_mask)
 
     def step(self, solver) -> None:
         """One fused ST step updating ``solver.f`` in place."""
@@ -133,6 +139,7 @@ class _FusedMRStepper:
     """Binds a :class:`FusedMRCore` to an MR-P or MR-R family solver."""
 
     backend = "fused"
+    path = "lean"
 
     def __init__(self, solver, scheme: str, variable_tau: bool = False,
                  stream: str = "auto"):
@@ -142,8 +149,7 @@ class _FusedMRStepper:
             else getattr(solver, "tau_bulk", None),
             stream=stream, f_scratch=solver._f_scratch)
         self.variable_tau = variable_tau
-        solid = solver.domain.solid_mask
-        self._solid = solid if solid.any() else None
+        self._solid = solid_index(solver.domain.solid_mask)
 
     def step(self, solver) -> None:
         """One fused MR step updating ``solver.m`` in place."""
@@ -173,15 +179,17 @@ class _InplaceSTStepper:
         solid = solver.domain.solid_mask
         self._solid = solid if solid.any() else None
         self.lean = not solver.boundaries
+        self.path = "lean" if self.lean else "bounded-fallback"
         self.core = InplaceSTCore(
             solver.lat, solver.domain.shape, solver.tau, stream=stream,
-            solid_mask=self._solid if self.lean else None)
+            solid_mask=self._solid)
 
     def step(self, solver) -> None:
         """One single-lattice ST step updating ``solver.f`` in place."""
         if not self.lean:
-            self.core.step_bounded(solver.f, solver.boundaries, self._solid,
-                                   solver.telemetry, force=solver.force)
+            self.core.step_bounded(solver.f, solver.boundaries,
+                                   self.core.solid, solver.telemetry,
+                                   force=solver.force)
         elif solver.time % 2 == 0:
             self.core.step_scatter(solver.f, solver.telemetry,
                                    force=solver.force)
@@ -202,9 +210,9 @@ class _InplaceMRStepper:
     backend = "aa"
 
     def __init__(self, solver, scheme: str, variable_tau: bool = False):
-        solid = solver.domain.solid_mask
-        self._solid = solid if solid.any() else None
+        self._solid = solid_index(solver.domain.solid_mask)
         self.variable_tau = variable_tau
+        self.path = "bounded-fallback" if solver.boundaries else "lean"
         tau_bulk = (None if variable_tau
                     else getattr(solver, "tau_bulk", None))
         if solver.boundaries:
@@ -236,6 +244,7 @@ class _SparseSTStepper:
     def __init__(self, solver):
         self.core = SparseSTCore(solver.lat, solver.domain.solid_mask,
                                  solver.tau, boundaries=solver.boundaries)
+        self.path = self.core.path
 
     def step(self, solver) -> None:
         """One compact-state ST step updating ``solver.f`` in place."""
@@ -255,6 +264,7 @@ class _SparseMRStepper:
             else getattr(solver, "tau_bulk", None),
             boundaries=solver.boundaries)
         self.variable_tau = variable_tau
+        self.path = self.core.path
 
     def step(self, solver) -> None:
         """One compact-state MR step updating ``solver.m`` in place."""
@@ -271,6 +281,7 @@ class _NumbaSTStepper:
     """Binds a :class:`NumbaSTCore` to an ST solver (periodic BGK only)."""
 
     backend = "numba"
+    path = "lean"
 
     def __init__(self, solver):
         self.core = NumbaSTCore(solver.lat, solver.domain.shape, solver.tau)
@@ -285,6 +296,7 @@ class _NumbaMRStepper:
     """Binds a :class:`NumbaMRCore` to an MR solver (periodic only)."""
 
     backend = "numba"
+    path = "lean"
 
     def __init__(self, solver, scheme: str, variable_tau: bool = False):
         self.core = NumbaMRCore(solver.lat, solver.domain.shape, solver.tau,
@@ -373,10 +385,8 @@ def validate_backend(solver, backend: str | None = None) -> dict | None:
         # The compact-state step has no post-collide stage on the dense
         # field, so boundaries that hook it (full-way bounce-back) have
         # nowhere to run; everything else folds or falls back densely.
-        from ..boundary.base import Boundary
-
         for b in solver.boundaries:
-            if type(b).post_collide is not Boundary.post_collide:
+            if b.overrides("post_collide"):
                 raise _reject(
                     solver, backend,
                     f"{type(b).__name__} customizes the post-collide hook, "

@@ -55,7 +55,7 @@ import numpy as np
 from ..core.streaming import stream_push
 from ..lattice import LatticeDescriptor
 from ..obs.telemetry import NULL_TELEMETRY
-from .fused import STREAM_MODES
+from .fused import STREAM_MODES, hooked
 from .tables import neighbor_table
 
 __all__ = ["BatchedFusedSTCore", "BatchedFusedMRCore"]
@@ -118,6 +118,11 @@ def _member_boundaries(boundaries, batch: int):
         raise ValueError(f"expected {batch} per-member boundary lists, "
                          f"got {len(blists)}")
     return [tuple(bl) if bl else () for bl in blists]
+
+
+def _member_hooks(blists, hook: str):
+    """``(member, boundary)`` pairs whose boundary implements ``hook``."""
+    return [(k, b) for k, bl in enumerate(blists) for b in hooked(bl, hook)]
 
 
 class BatchedFusedSTCore:
@@ -214,24 +219,24 @@ class BatchedFusedSTCore:
         np.matmul(self._rc, meq, out=self._feq)
 
     def step(self, f: np.ndarray, scratch: np.ndarray, boundaries=None,
-             solid_mask: np.ndarray | None = None, tel=NULL_TELEMETRY,
+             solid: np.ndarray | None = None, tel=NULL_TELEMETRY,
              force: np.ndarray | None = None) -> None:
         """Advance the whole ensemble one step in place.
 
         ``f``/``scratch`` are ``(B, Q, *grid)``; ``boundaries`` is an
         optional sequence of ``B`` per-member boundary lists (bound
-        objects, applied on member views); ``solid_mask`` the shared
-        geometry mask; ``force`` an optional ``(B, D, *grid)`` per-member
-        body-force field (all members forced, or none).
+        objects, applied on member views); ``solid`` the shared flat
+        solid-node indices (``repro.accel.fused.solid_index``); ``force``
+        an optional ``(B, D, *grid)`` per-member body-force field (all
+        members forced, or none).
         """
         lat = self.lat
         blists = _member_boundaries(boundaries, self.batch)
         with tel.phase("stream"):
             self._stream(f, scratch)
         with tel.phase("boundary"):
-            for k, bl in enumerate(blists):
-                for b in bl:
-                    b.post_stream(lat, scratch[k], f[k])
+            for k, b in _member_hooks(blists, "post_stream"):
+                b.post_stream(lat, scratch[k], f[k])
         with tel.phase("collide"):
             fs = scratch.reshape(self.batch, lat.q, -1)
             ff = (None if force is None
@@ -243,11 +248,12 @@ class BatchedFusedSTCore:
             out += self._feq
             if ff is not None:
                 out += self._guo_source(ff)
-            if solid_mask is not None:
-                f[:, :, solid_mask] = lat.w[None, :, None]
-        with tel.phase("boundary"):
-            for k, bl in enumerate(blists):
-                for b in bl:
+            if solid is not None:
+                out[:, :, solid] = lat.w[None, :, None]
+        post = _member_hooks(blists, "post_collide")
+        if post:
+            with tel.phase("boundary"):
+                for k, b in post:
                     b.post_collide(lat, f[k], scratch[k])
 
 
@@ -384,7 +390,7 @@ class BatchedFusedMRCore:
             g_pi[:, k] += src
 
     def step(self, m: np.ndarray, boundaries=None,
-             solid_mask: np.ndarray | None = None, tel=NULL_TELEMETRY,
+             solid: np.ndarray | None = None, tel=NULL_TELEMETRY,
              force: np.ndarray | None = None) -> None:
         """Advance the ``(B, M, *grid)`` ensemble moment field one step.
 
@@ -403,12 +409,11 @@ class BatchedFusedMRCore:
         with tel.phase("stream"):
             self._stream(self._f_star, self._f_new)
         with tel.phase("boundary"):
-            for k, bl in enumerate(blists):
-                for b in bl:
-                    b.post_stream(lat, self._f_new[k], self._f_star[k])
+            for k, b in _member_hooks(blists, "post_stream"):
+                b.post_stream(lat, self._f_new[k], self._f_star[k])
         with tel.phase("macroscopic"):
             np.matmul(self._mm, self._f_new.reshape(self.batch, lat.q, -1),
                       out=mf)
-            if solid_mask is not None:
-                m[:, :, solid_mask] = 0.0
-                m[:, 0, solid_mask] = 1.0
+            if solid is not None:
+                mf[:, :, solid] = 0.0
+                mf[:, 0, solid] = 1.0

@@ -54,13 +54,27 @@ from ..lattice import LatticeDescriptor
 from ..obs.telemetry import NULL_TELEMETRY
 from .tables import neighbor_table
 
-__all__ = ["FusedSTCore", "FusedMRCore", "STREAM_MODES"]
+__all__ = ["FusedSTCore", "FusedMRCore", "STREAM_MODES", "solid_index",
+           "hooked"]
 
 #: Streaming strategies understood by the fused cores. ``"auto"`` resolves
 #: to ``"roll"``: on every CPU we have measured, NumPy's sliced roll passes
 #: outrun the indexed single-gather (the table gather exists for the Numba
 #: backend, where it fuses into the JIT loop — see docs/PERFORMANCE.md).
 STREAM_MODES = ("auto", "roll", "gather")
+
+
+def solid_index(solid_mask: np.ndarray) -> np.ndarray | None:
+    """Flat solid-node indices (``None`` without solids), computed once
+    where the mask is known; the cores pin through them instead of a
+    boolean ``[:, mask]`` index that runs ``nonzero`` every step."""
+    idx = np.flatnonzero(solid_mask)
+    return idx if idx.size else None
+
+
+def hooked(boundaries, hook: str) -> list:
+    """The boundaries that implement ``hook`` (see ``Boundary.overrides``)."""
+    return [b for b in boundaries if b.overrides(hook)]
 
 
 def _resolve_stream(lat: LatticeDescriptor, shape: tuple[int, ...],
@@ -87,7 +101,8 @@ class FusedSTCore:
        equilibrium as the Eq. 11 reconstruction of
        ``[rho, j, rho u u]`` (dgemm), and the relaxation written in
        place into the retired lattice buffer — no per-step temporary;
-    4. solid-node pinning and the post-collide boundary hooks.
+    4. solid-node pinning (flat indices, see :func:`solid_index`) and
+       the post-collide boundary hooks.
 
     The two lattice buffers keep fixed roles (``f`` / ``scratch``), so the
     caller's arrays are updated in place and never swapped.
@@ -189,19 +204,20 @@ class FusedSTCore:
         np.matmul(self._rc, meq, out=self._feq)
 
     def step(self, f: np.ndarray, scratch: np.ndarray, boundaries,
-             solid_mask: np.ndarray | None, tel=NULL_TELEMETRY,
+             solid: np.ndarray | None, tel=NULL_TELEMETRY,
              force: np.ndarray | None = None) -> None:
         """Advance one step in place (``f`` ends as the new lattice).
 
-        ``force`` is an optional ``(D, *grid)`` body-force field; the
-        collision then evaluates the equilibrium at Guo's half-force
-        velocity and adds the fused source term.
+        ``solid`` holds the flat solid-node indices of
+        :func:`solid_index`. ``force`` is an optional ``(D, *grid)``
+        body-force field; the collision then evaluates the equilibrium at
+        Guo's half-force velocity and adds the fused source term.
         """
         lat = self.lat
         with tel.phase("stream"):
             self._stream(f, scratch)
         with tel.phase("boundary"):
-            for b in boundaries:
+            for b in hooked(boundaries, "post_stream"):
                 b.post_stream(lat, scratch, f)
         with tel.phase("collide"):
             fs = scratch.reshape(lat.q, -1)
@@ -215,11 +231,13 @@ class FusedSTCore:
             out += self._feq
             if ff is not None:
                 self._add_guo_source(out, ff)
-            if solid_mask is not None:
-                f[:, solid_mask] = lat.w[:, None]
-        with tel.phase("boundary"):
-            for b in boundaries:
-                b.post_collide(lat, f, scratch)
+            if solid is not None:
+                out[:, solid] = lat.w[:, None]
+        post = hooked(boundaries, "post_collide")
+        if post:
+            with tel.phase("boundary"):
+                for b in post:
+                    b.post_collide(lat, f, scratch)
 
 
 class FusedMRCore:
@@ -408,11 +426,12 @@ class FusedMRCore:
             g_pi[k] += src
 
     def step(self, m: np.ndarray, boundaries,
-             solid_mask: np.ndarray | None, tel=NULL_TELEMETRY,
+             solid: np.ndarray | None, tel=NULL_TELEMETRY,
              force: np.ndarray | None = None,
              tau_field: np.ndarray | None = None) -> None:
         """Advance the ``(M, *grid)`` moment field one step in place.
 
+        ``solid`` holds the flat solid-node indices (:func:`solid_index`);
         ``force`` is an optional ``(D, *grid)`` body-force field (the
         projected Guo coupling); ``tau_field`` an optional ``(*grid,)``
         per-node relaxation time (MR-P only, see :meth:`_collide`).
@@ -435,10 +454,10 @@ class FusedMRCore:
         with tel.phase("stream"):
             self._stream(self._f_star, self._f_new)
         with tel.phase("boundary"):
-            for b in boundaries:
+            for b in hooked(boundaries, "post_stream"):
                 b.post_stream(lat, self._f_new, self._f_star)
         with tel.phase("macroscopic"):
             np.matmul(self._mm, self._f_new.reshape(lat.q, -1), out=mf)
-            if solid_mask is not None:
-                m[:, solid_mask] = 0.0
-                m[0, solid_mask] = 1.0
+            if solid is not None:
+                mf[:, solid] = 0.0
+                mf[0, solid] = 1.0

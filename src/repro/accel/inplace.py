@@ -61,7 +61,7 @@ import numpy as np
 from ..core.streaming import stream_push
 from ..lattice import LatticeDescriptor
 from ..obs.telemetry import NULL_TELEMETRY
-from .fused import FusedMRCore, FusedSTCore
+from .fused import FusedMRCore, FusedSTCore, solid_index
 
 __all__ = [
     "InplaceSTCore",
@@ -156,7 +156,7 @@ class InplaceSTCore(FusedSTCore):
         self._scratch = np.empty((lat.q, *self.shape))
         self._blocks = [_shift_blocks(self.shape, lat.c[i])
                         for i in range(lat.q)]
-        self.solid_mask = solid_mask
+        self.solid = None if solid_mask is None else solid_index(solid_mask)
         if scatter == "auto":
             # "copy" measures faster on both 2-D and 3-D grids on the
             # hosts benchmarked so far: its extra contiguous pass is
@@ -198,8 +198,8 @@ class InplaceSTCore(FusedSTCore):
                 fs += self._feq
                 if ff is not None:
                     self._add_guo_source(fs, ff)
-                if self.solid_mask is not None:
-                    self._scratch[:, self.solid_mask] = lat.w[:, None]
+                if self.solid is not None:
+                    fs[:, self.solid] = lat.w[:, None]
             with tel.phase("stream:scatter"):
                 for i in range(lat.q):
                     fi, si = f[i], self._scratch[i]
@@ -211,15 +211,14 @@ class InplaceSTCore(FusedSTCore):
             ff = None if force is None else force.reshape(lat.d, -1)
             self._moments_and_feq(fs, ff)
             cf = None if ff is None else self._guo_source(ff)
-            if self.solid_mask is not None:
+            if self.solid is not None:
                 # Pin pre-scatter: the relax below reads scratch and feq
                 # block-wise, so force the relaxed value (feq would be
                 # overwritten) by making both operands the rest weight.
-                self._scratch[:, self.solid_mask] = lat.w[:, None]
-                self._feq.reshape(lat.q, *self.shape)[
-                    :, self.solid_mask] = lat.w[:, None]
+                fs[:, self.solid] = lat.w[:, None]
+                self._feq[:, self.solid] = lat.w[:, None]
                 if cf is not None:
-                    cf.reshape(lat.q, *self.shape)[:, self.solid_mask] = 0.0
+                    cf[:, self.solid] = 0.0
         with tel.phase("stream:scatter"):
             grid = (lat.q, *self.shape)
             feq_g = self._feq.reshape(grid)
@@ -257,11 +256,11 @@ class InplaceSTCore(FusedSTCore):
             fs += self._feq
             if ff is not None:
                 self._add_guo_source(fs, ff)
-            if self.solid_mask is not None:
-                f[:, self.solid_mask] = lat.w[:, None]
+            if self.solid is not None:
+                fs[:, self.solid] = lat.w[:, None]
 
     def step_bounded(self, f: np.ndarray, boundaries,
-                     solid_mask: np.ndarray | None, tel=NULL_TELEMETRY,
+                     solid: np.ndarray | None, tel=NULL_TELEMETRY,
                      force: np.ndarray | None = None) -> None:
         """Conservative step for bounded problems (state natural every step).
 
@@ -270,8 +269,7 @@ class InplaceSTCore(FusedSTCore):
         written against; the solver's persistent state is still the
         single lattice.
         """
-        super().step(f, self._scratch, boundaries, solid_mask, tel,
-                     force=force)
+        super().step(f, self._scratch, boundaries, solid, tel, force=force)
 
 
 class InplaceMRCore(FusedMRCore):
@@ -310,10 +308,11 @@ class InplaceMRCore(FusedMRCore):
         self._gbuf = np.empty((lat.q, self._slab, *self.shape[1:]))
 
     def step(self, m: np.ndarray, boundaries,
-             solid_mask: np.ndarray | None, tel=NULL_TELEMETRY,
+             solid: np.ndarray | None, tel=NULL_TELEMETRY,
              force: np.ndarray | None = None,
              tau_field: np.ndarray | None = None) -> None:
-        """Advance the ``(M, *grid)`` moment field one step in place."""
+        """Advance the ``(M, *grid)`` moment field one step in place
+        (``solid``: flat solid-node indices, see ``solid_index``)."""
         lat = self.lat
         if boundaries:
             raise ValueError(
@@ -357,6 +356,6 @@ class InplaceMRCore(FusedMRCore):
                                 self._f[qi][(fsrc, *src_t)]
                 np.matmul(self._mm, gb.reshape(lat.q, -1),
                           out=mf[:, a0 * tail:a1 * tail])
-            if solid_mask is not None:
-                m[:, solid_mask] = 0.0
-                m[0, solid_mask] = 1.0
+            if solid is not None:
+                mf[:, solid] = 0.0
+                mf[0, solid] = 1.0

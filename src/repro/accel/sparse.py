@@ -29,11 +29,12 @@ single plain :class:`~repro.boundary.HalfwayBounceBack` (moving walls
 included) folds entirely into the gather table — the *lean* path, which
 never materializes a dense distribution field. Any other post-stream
 boundary (velocity inlets, pressure outlets, ...) routes the step through
-a *dense fallback* that scatters, streams densely, runs the unchanged
-hook objects, and re-compacts — collision still runs compact, so the
-geometry win survives partial boundary coverage. Boundaries with custom
-post-collide hooks (full-way bounce-back) are rejected up front by
-:func:`repro.accel.validate_backend`.
+a *dense fallback* that scatters, streams densely, runs the compiled
+hook plans, and re-compacts — collision still runs compact, so the
+geometry win survives partial boundary coverage. The core reports the
+tier it took in :attr:`path` (``"lean"`` or ``"dense-fallback"``).
+Boundaries with custom post-collide hooks (full-way bounce-back) are
+rejected up front by :func:`repro.accel.validate_backend`.
 
 Traffic model (docs/ALGORITHMS.md derives the full version): the lean ST
 step moves ``3 Q + D`` doubles per *fluid* node plus ``Q`` 8-byte table
@@ -54,7 +55,7 @@ import numpy as np
 from ..core.streaming import stream_push
 from ..lattice import LatticeDescriptor
 from ..obs.telemetry import NULL_TELEMETRY
-from .fused import FusedMRCore, FusedSTCore
+from .fused import FusedMRCore, FusedSTCore, hooked
 from .tables import MaskedNeighborTable
 
 __all__ = ["SparseSTCore", "SparseMRCore", "boundaries_fold"]
@@ -76,10 +77,10 @@ def boundaries_fold(boundaries) -> bool:
 
 
 def _folded_momentum(table: MaskedNeighborTable, lat: LatticeDescriptor,
-                     bb, shape: tuple[int, ...]):
+                     bb):
     """Compact per-component moving-wall momentum terms of a bound wall.
 
-    Reuses the bound boundary's own precomputed link targets and
+    Reuses the bound boundary's own flat link targets and
     ``2 w_i rho0 (c_i . u_w) / cs2`` values (both enumerated in C order,
     matching the compact node order), so the folded adds are value- and
     order-identical to the dense hook's.
@@ -92,8 +93,7 @@ def _folded_momentum(table: MaskedNeighborTable, lat: LatticeDescriptor,
         if idx is None or mom is None:
             terms.append(None)
             continue
-        flat = np.ravel_multi_index(idx, shape)
-        terms.append((table.dense_to_compact[flat], np.asarray(mom)))
+        terms.append((table.dense_to_compact[idx], np.asarray(mom)))
     return terms
 
 
@@ -106,8 +106,9 @@ class _SparseCoreBase:
         self.shape = tuple(solid_mask.shape)
         self.table = MaskedNeighborTable(lat, solid_mask)
         self.lean = boundaries_fold(boundaries)
+        self.path = "lean" if self.lean else "dense-fallback"
         self._bb = (boundaries[0] if (self.lean and boundaries) else None)
-        self._mom = _folded_momentum(self.table, lat, self._bb, self.shape)
+        self._mom = _folded_momentum(self.table, lat, self._bb)
         self._ffc = None        # compact (D, n_fluid) force buffer
         self._fidx = None       # dense gather indices for the force field
         self._tfc = None        # compact (n_fluid,) tau_field buffer
@@ -189,7 +190,7 @@ class SparseSTCore(_SparseCoreBase):
             with tel.phase("stream"):
                 stream_push(lat, f, out=self._dense_scratch)
             with tel.phase("boundary"):
-                for b in boundaries:
+                for b in hooked(boundaries, "post_stream"):
                     b.post_stream(lat, self._dense_scratch, f)
             with tel.phase("stream"):
                 table.compact(self._dense_scratch, self._fc)
@@ -265,7 +266,7 @@ class SparseMRCore(_SparseCoreBase):
                 table.scatter(self._fc_star, self._dense_star)
                 stream_push(lat, self._dense_star, out=self._dense_new)
             with tel.phase("boundary"):
-                for b in boundaries:
+                for b in hooked(boundaries, "post_stream"):
                     b.post_stream(lat, self._dense_new, self._dense_star)
             with tel.phase("stream"):
                 table.compact(self._dense_new, self._fc)

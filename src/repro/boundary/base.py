@@ -11,9 +11,11 @@ Boundaries hook into two points of the LBM update cycle:
   collision (used by full-way bounce-back, which replaces the collision on
   solid nodes by a reflection).
 
-A boundary must first be bound to a lattice/domain/relaxation-time triple
-via :meth:`Boundary.bind`, which precomputes index arrays so that the apply
-hooks are pure vectorized scatter/gather operations.
+A boundary must first be bound via :meth:`Boundary.bind`. Geometry is
+fixed from then on, so ``bind`` compiles a *plan* — flat indices into the
+C-contiguous ``(Q, *grid)`` lattice plus constant coefficient tables — and
+a hook runs a few flat gathers, small matmuls and one flat scatter per
+step. :meth:`Boundary.overrides` lets the cores skip inherited no-op hooks.
 """
 
 from __future__ import annotations
@@ -23,7 +25,14 @@ import numpy as np
 from ..geometry import Domain
 from ..lattice import LatticeDescriptor
 
-__all__ = ["Boundary", "Plane"]
+__all__ = ["Boundary", "Plane", "flat_view"]
+
+
+def flat_view(f: np.ndarray) -> np.ndarray:
+    """The 1-D view of a C-contiguous population array (never a copy)."""
+    if not f.flags.c_contiguous:
+        raise ValueError("boundary hooks write C-contiguous arrays only")
+    return f.reshape(-1)
 
 
 class Plane:
@@ -58,11 +67,11 @@ class Plane:
 
 
 class Boundary:
-    """Abstract boundary condition. Subclasses precompute indices in
+    """Abstract boundary condition. Subclasses compile a plan in
     :meth:`bind` and implement one or both apply hooks."""
 
     def bind(self, lat: LatticeDescriptor, domain: Domain, tau: float) -> "Boundary":
-        """Precompute index arrays; returns self for chaining."""
+        """Compile the per-step plan; returns self for chaining."""
         raise NotImplementedError
 
     def post_stream(self, lat: LatticeDescriptor, f_new: np.ndarray,
@@ -72,3 +81,8 @@ class Boundary:
     def post_collide(self, lat: LatticeDescriptor, f_star: np.ndarray,
                      f_post_stream: np.ndarray) -> None:
         """Mutate ``f_star`` in place after collision (default: no-op)."""
+
+    @classmethod
+    def overrides(cls, hook: str) -> bool:
+        """Whether ``hook`` (``"post_stream"``/``"post_collide"``) is not the no-op."""
+        return getattr(cls, hook) is not getattr(Boundary, hook)

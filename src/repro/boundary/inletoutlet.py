@@ -18,44 +18,28 @@ Density at a velocity inlet follows the classical closed relation
 ``rho = (S_0 + 2 S_-)/(1 - u_n)`` where ``S_0``/``S_-`` sum the tangential
 and outgoing populations and ``u_n`` is the inward normal velocity. The
 pressure outlet inverts the same relation for ``u_n`` given ``rho``.
+
+``bind`` compiles the face into a plan: flat indices of the face, its
+two interior planes and its active nodes, the ``S_0 + 2 S_-`` weights
+stacked on the density and momentum rows, the strain map and ``H2``; the
+inlet also folds in ``1/(1 - u_n)``, ``f_eq / rho`` and the tangential
+strain. Per step a hook gathers the planes, reduces them with one matmul,
+rebuilds the face with a few more and scatters the active nodes back.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.equilibrium import equilibrium
-from ..core.moments import macroscopic
-from ..core.regularization import hermite_delta_second_order
 from ..geometry import SOLID, Domain
 from ..lattice import LatticeDescriptor
-from .base import Boundary, Plane
+from .base import Boundary, Plane, flat_view
 
 __all__ = ["VelocityInlet", "PressureOutlet"]
 
 
-def _classify(lat: LatticeDescriptor, plane: Plane) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split component indices by sign of ``c . n_inward`` on a face."""
-    cn = lat.c[:, plane.axis] * plane.inward
-    return np.where(cn > 0)[0], np.where(cn == 0)[0], np.where(cn < 0)[0]
-
-
-def _plane_velocity(lat: LatticeDescriptor, value, plane_shape: tuple[int, ...]) -> np.ndarray:
-    """Normalize a prescribed velocity to a ``(D, *plane_shape)`` array."""
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.shape == (lat.d,):
-        out = np.empty((lat.d, *plane_shape))
-        out[:] = arr.reshape((lat.d,) + (1,) * len(plane_shape))
-        return out
-    if arr.shape == (lat.d, *plane_shape):
-        return arr.copy()
-    raise ValueError(
-        f"velocity must have shape {(lat.d,)} or {(lat.d, *plane_shape)}, got {arr.shape}"
-    )
-
-
 class _FaceBoundary(Boundary):
-    """Shared face bookkeeping for inlet/outlet boundaries."""
+    """Shared face plan of the inlet/outlet boundaries."""
 
     def __init__(self, plane: Plane, method: str):
         if method not in ("nebb", "regularized-fd"):
@@ -63,91 +47,79 @@ class _FaceBoundary(Boundary):
         self.plane = plane
         self.method = method
         self.tau: float | None = None
-        self._active: np.ndarray | None = None   # bool over plane shape
-        self._unknown: np.ndarray | None = None
-        self._tangential: np.ndarray | None = None
-        self._known: np.ndarray | None = None
-        self._shape: tuple[int, ...] | None = None
 
-    def bind(self, lat: LatticeDescriptor, domain: Domain, tau: float):
-        """Resolve the face on ``domain`` and cache the component split."""
-        if self.plane.axis >= domain.ndim:
-            raise ValueError(
-                f"plane axis {self.plane.axis} out of range for {domain.ndim}D domain"
-            )
-        if (self.method == "regularized-fd"
-                and domain.shape[self.plane.axis] < 3):
-            # The one-sided strain stencil reads the planes at offsets 1
-            # and 2 from the face; on a thinner domain those indices
-            # silently wrap around the periodic axis and corrupt the
-            # reconstruction, so refuse at bind time.
-            raise ValueError(
-                f"the regularized-fd reconstruction needs at least 3 planes "
-                f"along axis {self.plane.axis} (its one-sided finite "
-                f"difference reads two interior planes), but the domain has "
-                f"only {domain.shape[self.plane.axis]}; enlarge the domain "
-                f"or use method='nebb'"
-            )
+    def bind(self, lat: LatticeDescriptor, domain: Domain, tau: float,
+             planes: int = 3):
+        """Compile the face and its first ``planes - 1`` interior planes."""
+        ax, d = self.plane.axis, lat.d
+        if ax >= domain.ndim:
+            raise ValueError(f"plane axis {ax} out of range for {domain.ndim}D domain")
+        if self.method == "regularized-fd" and domain.shape[ax] < 3:
+            # Fewer planes would wrap the one-sided stencil around the axis.
+            raise ValueError(f"the regularized-fd reconstruction needs at least 3 planes "
+                             f"along axis {ax}, but the domain has only {domain.shape[ax]}; "
+                             f"enlarge the domain or use method='nebb'")
         self.tau = float(tau)
-        self._shape = domain.shape
-        face = self.plane.face_index(domain.shape)
-        self._active = domain.node_type[face] != SOLID
-        self._unknown, self._tangential, self._known = _classify(lat, self.plane)
+        nodes = np.arange(domain.node_type.size).reshape(domain.shape)
+        face = [nodes[self.plane.face_index(domain.shape, k)] for k in range(planes)]
+        self._plane_shape, self._planes, n = face[0].shape, planes, face[0].size
+        self._n = n
+        # (Q, planes * n): the face columns first, then each interior plane.
+        self._idx = (np.arange(lat.q)[:, None] * nodes.size
+                     + np.concatenate([p.reshape(-1) for p in face])[None])
+        act = domain.node_type.reshape(-1)[self._idx[0, :n]] != SOLID
+        self._act = np.flatnonzero(act)
+        cn = lat.c[:, ax] * self.plane.inward
+        self._red = np.vstack([(cn == 0) + 2.0 * (cn < 0), lat.moment_matrix[:1 + d]])
+        if self.method == "nebb":
+            unknown = np.flatnonzero(cn > 0)
+            self._dst = self._idx[unknown, :n][:, act]
+            self._src = self._idx[lat.opposite[unknown], :n]
+            # feq_i - feq_ibar = rho (2 w_i / cs2) c_i . u
+            self._k = 2.0 * lat.w[unknown, None] * lat.c[unknown] / lat.cs2
+            return self
+        self._dst = self._idx[:, :n][:, act]
+        # Strain map from g[x, y] = d_x u_y onto -2 cs2 tau S.
+        self._pairs, k = np.array(lat.pair_tuples).T, np.arange(lat.n_pairs)
+        strain = np.zeros((lat.n_pairs, d, d))
+        np.add.at(strain, (k, *self._pairs), 0.5)
+        np.add.at(strain, (k, *self._pairs[::-1]), 0.5)
+        self._strain = -2.0 * lat.cs2 * self.tau * strain.reshape(lat.n_pairs, -1)
+        # np.gradient's stencil along the face: central differences, one-sided
+        # at its edges, as neighbour columns and scales per tangential axis.
+        coords = np.indices(self._plane_shape).reshape(d - 1, n)
+        self._nbr = np.empty((d - 1, 2, n), dtype=np.intp)
+        self._scale = np.empty((d - 1, n))
+        for p, ext in enumerate(self._plane_shape):
+            hi, lo = coords.copy(), coords.copy()
+            hi[p], lo[p] = np.minimum(coords[p] + 1, ext - 1), np.maximum(coords[p] - 1, 0)
+            self._nbr[p] = [np.ravel_multi_index(tuple(c), self._plane_shape) for c in (hi, lo)]
+            self._scale[p] = 1.0 / np.maximum(hi[p] - lo[p], 1)
+        self._tang = [a for a in range(d) if a != ax]
+        self._rc = np.ascontiguousarray(lat.reconstruction_matrix)
+        self._g = np.empty((d, d, n))
+        self._meq = np.ones((lat.n_moments, n))
         return self
 
-    # -- helpers ------------------------------------------------------
-    def _face_view(self, f: np.ndarray, offset: int = 0) -> np.ndarray:
-        """(Q, *plane_shape) view of the distribution ``offset`` nodes in."""
-        face = self.plane.face_index(self._shape, offset)
-        return f[(slice(None), *face)]
+    def _reduce(self, f: np.ndarray):
+        """Flat ``f``, face sums ``S_0 + 2 S_-``, interior-plane velocities."""
+        fl = flat_view(f)
+        n = self._n
+        r = self._red @ fl[self._idx]
+        u = r[2:, n:] / r[1, n:]
+        return fl, r[0, :n], u.reshape(len(u), self._planes - 1, n)
 
-    def _density_sums(self, lat: LatticeDescriptor, fslab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s0 = fslab[self._tangential].sum(axis=0)
-        sm = fslab[self._known].sum(axis=0)
-        return s0, sm
-
-    def _assign_nebb(self, lat: LatticeDescriptor, fslab: np.ndarray,
-                     rho: np.ndarray, u_b: np.ndarray) -> None:
-        """Replace the unknown populations via non-equilibrium bounce-back."""
-        feq = equilibrium(lat, rho, u_b)
-        act = self._active
-        for i in self._unknown:
-            ibar = lat.opposite[i]
-            vals = feq[i] + (fslab[ibar] - feq[ibar])
-            fslab[i][act] = vals[act]
-
-    def _assign_regularized(self, lat: LatticeDescriptor, f: np.ndarray,
-                            rho: np.ndarray, u_b: np.ndarray) -> None:
-        """Rebuild the full population set with the regularized-FD scheme."""
-        strain_cols = self._fd_strain_cols(lat, f, u_b)
-        pi_neq = -2.0 * rho * lat.cs2 * self.tau * strain_cols
-        fnew = equilibrium(lat, rho, u_b) + hermite_delta_second_order(lat, pi_neq)
-        fslab = self._face_view(f)
-        act = self._active
-        for i in range(lat.q):
-            fslab[i][act] = fnew[i][act]
-
-    def _fd_strain_cols(self, lat: LatticeDescriptor, f: np.ndarray,
-                        u_b: np.ndarray) -> np.ndarray:
-        """Strain-rate distinct columns at the face via finite differences.
-
-        Normal direction: second-order one-sided stencil using the two
-        interior neighbour planes; tangential directions: central
-        differences of the boundary-plane velocity.
-        """
-        _, u1 = macroscopic(lat, self._face_view(f, 1))
-        _, u2 = macroscopic(lat, self._face_view(f, 2))
-        # d u / d x_axis with x measured along +axis.
-        grad = np.zeros((lat.d, lat.d, *u_b.shape[1:]))  # grad[a, b] = d_a u_b
-        grad[self.plane.axis] = self.plane.inward * (-3.0 * u_b + 4.0 * u1 - u2) / 2.0
-        tang_axes = [a for a in range(lat.d) if a != self.plane.axis]
-        for plane_pos, a in enumerate(tang_axes):
-            if u_b.shape[1 + plane_pos] >= 2:
-                grad[a] = np.gradient(u_b, axis=1 + plane_pos)
-        cols = np.stack(
-            [0.5 * (grad[a, b] + grad[b, a]) for a, b in lat.pair_tuples], axis=0
-        )
-        return cols
+    def _regularized(self, u: np.ndarray, u12: np.ndarray) -> np.ndarray:
+        """``f / rho`` of the regularized-FD reconstruction at the face."""
+        d = len(u)
+        g, m = self._g, self._meq
+        g[self.plane.axis] = (4.0 * u12[:, 0] - u12[:, 1] - 3.0 * u) * (0.5 * self.plane.inward)
+        x = u[:, self._nbr]
+        g[self._tang] = ((x[:, :, 0] - x[:, :, 1]) * self._scale).transpose(1, 0, 2)
+        m[1:1 + d] = u
+        np.multiply(u[self._pairs[0]], u[self._pairs[1]], out=m[1 + d:])
+        m[1 + d:] += self._strain @ g.reshape(d * d, -1)
+        return self._rc @ m
 
 
 class VelocityInlet(_FaceBoundary):
@@ -163,24 +135,41 @@ class VelocityInlet(_FaceBoundary):
         self.u_b: np.ndarray | None = None
 
     def bind(self, lat: LatticeDescriptor, domain: Domain, tau: float) -> "VelocityInlet":
-        """Bind the face and normalize the prescribed velocity profile."""
-        super().bind(lat, domain, tau)
-        face = self.plane.face_index(domain.shape)
-        plane_shape = domain.node_type[face].shape
-        self.u_b = _plane_velocity(lat, self._velocity_spec, plane_shape)
+        """Compile the face plan and fold in the prescribed velocity."""
+        super().bind(lat, domain, tau, 3 if self.method == "regularized-fd" else 1)
+        ps = (lat.d, *self._plane_shape)
+        u = np.asarray(self._velocity_spec, dtype=np.float64)
+        if u.shape == (lat.d,):
+            u = u.reshape((lat.d,) + (1,) * (lat.d - 1))
+        elif u.shape != ps:
+            raise ValueError(f"velocity must have shape {(lat.d,)} or {ps}, got {u.shape}")
+        self.u_b = np.broadcast_to(u, ps).copy()
+        u = self.u_b.reshape(lat.d, -1)
+        self._inv = 1.0 / (1.0 - self.plane.inward * u[self.plane.axis])
+        if self.method == "nebb":
+            self._ku = self._k @ u
+            return self
+        # f / rho = base + gain @ [u_1; u_2]: only the one-sided normal
+        # difference of the interior planes varies from step to step.
+        self._base = self._regularized(u, np.zeros((lat.d, 2, self._n)))
+        ax, d = self.plane.axis, lat.d
+        g = self._rc[:, 1 + d:] @ self._strain[:, ax * d:ax * d + d] * (0.5 * self.plane.inward)
+        self._gain = np.stack([4.0 * g, -g], axis=2).reshape(lat.q, -1)
         return self
 
     def post_stream(self, lat: LatticeDescriptor, f_new: np.ndarray,
                     f_source: np.ndarray) -> None:
         """Impose the prescribed velocity on the freshly streamed face."""
-        fslab = self._face_view(f_new)
-        s0, sm = self._density_sums(lat, fslab)
-        u_n = self.plane.inward * self.u_b[self.plane.axis]
-        rho = (s0 + 2.0 * sm) / (1.0 - u_n)
+        fl, s, u12 = self._reduce(f_new)
+        rho = s * self._inv
         if self.method == "nebb":
-            self._assign_nebb(lat, fslab, rho, self.u_b)
+            out = self._ku * rho
+            out += fl[self._src]
         else:
-            self._assign_regularized(lat, f_new, rho, self.u_b)
+            out = self._gain @ u12.reshape(-1, self._n)
+            out += self._base
+            out *= rho
+        fl[self._dst] = out[:, self._act]
 
 
 class PressureOutlet(_FaceBoundary):
@@ -199,21 +188,24 @@ class PressureOutlet(_FaceBoundary):
         self.rho_out = float(rho_out)
         self.tangential = tangential
 
+    def bind(self, lat: LatticeDescriptor, domain: Domain, tau: float) -> "PressureOutlet":
+        """Compile the face plan and the outlet velocity buffer."""
+        copy = self.tangential == "extrapolate"
+        super().bind(lat, domain, tau, 3 if self.method == "regularized-fd" else 1 + copy)
+        self._u = np.zeros((lat.d, self._n))
+        self._copy = [a for a in range(lat.d) if a != self.plane.axis and copy]
+        return self
+
     def post_stream(self, lat: LatticeDescriptor, f_new: np.ndarray,
                     f_source: np.ndarray) -> None:
         """Impose the prescribed density on the freshly streamed face."""
-        fslab = self._face_view(f_new)
-        s0, sm = self._density_sums(lat, fslab)
-        rho = np.full(s0.shape, self.rho_out)
-        u_n = 1.0 - (s0 + 2.0 * sm) / self.rho_out
-        u_b = np.zeros((lat.d, *s0.shape))
-        u_b[self.plane.axis] = self.plane.inward * u_n
-        if self.tangential == "extrapolate":
-            _, u1 = macroscopic(lat, self._face_view(f_new, 1))
-            for a in range(lat.d):
-                if a != self.plane.axis:
-                    u_b[a] = u1[a]
+        fl, s, u12 = self._reduce(f_new)
+        u = self._u
+        np.multiply(1.0 - s / self.rho_out, self.plane.inward, out=u[self.plane.axis])
+        if self._copy:
+            u[self._copy] = u12[self._copy, 0]
+        out = self._k @ u if self.method == "nebb" else self._regularized(u, u12)
+        out *= self.rho_out
         if self.method == "nebb":
-            self._assign_nebb(lat, fslab, rho, u_b)
-        else:
-            self._assign_regularized(lat, f_new, rho, u_b)
+            out += fl[self._src]
+        fl[self._dst] = out[:, self._act]

@@ -568,9 +568,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         callback_interval = args.report_interval
 
+    path = solver.accel_path
     print(f"{args.scheme} / {args.lattice} on {shape} "
           f"({n_fluid:,} fluid nodes), tau = {args.tau}, "
-          f"accel = {accel}")
+          f"accel = {accel}" + (f" ({path} path)" if path else ""))
     try:
         from .obs import StabilityError
 
@@ -626,7 +627,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             mpath = "run.manifest.json"
         write_manifest(mpath, solver, problem=args.problem,
                        u_max=args.u_max, bc=args.bc, accel=accel,
-                       command="mrlbm run")
+                       accel_path=path, command="mrlbm run")
         print(f"wrote {mpath}")
     return 0
 

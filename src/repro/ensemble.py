@@ -47,7 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .accel import solver_caps
+from .accel import solid_index, solver_caps
 from .accel.batched import BatchedFusedMRCore, BatchedFusedSTCore
 from .core.collision import BGKCollision
 from .obs.manifest import write_manifest
@@ -162,8 +162,7 @@ class EnsembleRunner:
         self.time = head.time
         self.telemetry = NULL_TELEMETRY
         taus = [m.tau for m in members]
-        solid = head.domain.solid_mask
-        self._solid = solid if solid.any() else None
+        self._solid = solid_index(head.domain.solid_mask)
         self._boundaries = [m.boundaries for m in members]
         self._force = None
         if head.force is not None:

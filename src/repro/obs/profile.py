@@ -102,6 +102,7 @@ def profile_scheme(scheme: str = "MR-P", lattice: str = "D2Q9",
     result = {
         "scheme": scheme.upper(),
         "backend": accel,
+        "accel_path": solver.accel_path,
         "lattice": lat.name,
         "shape": list(shape),
         "tau": tau,
@@ -137,6 +138,8 @@ def format_profile(result: dict) -> str:
     lines = []
     shape = "x".join(str(s) for s in result["shape"])
     backend = result.get("backend", "reference")
+    if result.get("accel_path"):
+        backend += f" ({result['accel_path']} path)"
     lines.append(
         f"{result['scheme']} / {result['lattice']} on {shape} "
         f"({result['n_fluid']:,} fluid nodes), tau = {result['tau']}, "

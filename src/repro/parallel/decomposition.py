@@ -252,11 +252,9 @@ class DistributedSolver:
         if accel == "sparse":
             # The sparse cores never run post-collide hooks; fail at
             # construction, matching repro.accel.validate_backend.
-            from ..boundary.base import Boundary
-
             for state in self.ranks:
                 for b in state.boundaries:
-                    if type(b).post_collide is not Boundary.post_collide:
+                    if b.overrides("post_collide"):
                         raise ValueError(
                             f"accel='sparse' does not support boundaries "
                             f"with custom post-collide hooks "
@@ -419,12 +417,11 @@ class DistributedST(DistributedSolver):
         if self.accel == "fused":
             core = getattr(state, "accel_core", None)
             if core is None:
-                from ..accel import FusedSTCore
+                from ..accel import FusedSTCore, solid_index
 
                 core = state.accel_core = FusedSTCore(
                     lat, state.domain.shape, self.tau)
-                solid = state.domain.solid_mask
-                state.accel_solid = solid if solid.any() else None
+                state.accel_solid = solid_index(state.domain.solid_mask)
             core.step(state.f, state.scratch, state.boundaries,
                       state.accel_solid, force=state.force)
             return
@@ -448,12 +445,11 @@ class DistributedST(DistributedSolver):
             # (the core's scratch replaces state.scratch).
             core = getattr(state, "accel_core", None)
             if core is None:
-                from ..accel import InplaceSTCore
+                from ..accel import InplaceSTCore, solid_index
 
                 core = state.accel_core = InplaceSTCore(
                     lat, state.domain.shape, self.tau)
-                solid = state.domain.solid_mask
-                state.accel_solid = solid if solid.any() else None
+                state.accel_solid = solid_index(state.domain.solid_mask)
             core.step_bounded(state.f, state.boundaries, state.accel_solid,
                               force=state.force)
             return
@@ -551,7 +547,7 @@ class DistributedMR(DistributedSolver):
         if self.accel in ("fused", "aa"):
             core = getattr(state, "accel_core", None)
             if core is None:
-                from ..accel import FusedMRCore, InplaceMRCore
+                from ..accel import FusedMRCore, InplaceMRCore, solid_index
 
                 if self.accel == "aa" and not state.boundaries:
                     # Single-buffer tiled gather-project on this slab
@@ -566,8 +562,7 @@ class DistributedMR(DistributedSolver):
                                        scheme=self.scheme,
                                        f_scratch=state.scratch)
                 state.accel_core = core
-                solid = state.domain.solid_mask
-                state.accel_solid = solid if solid.any() else None
+                state.accel_solid = solid_index(state.domain.solid_mask)
             core.step(state.m, state.boundaries, state.accel_solid,
                       force=state.force)
             return

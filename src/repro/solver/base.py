@@ -170,11 +170,28 @@ class Solver(ABC):
         if self.backend == "reference":
             self._step_reference()
             return
+        self._fast_stepper().step(self)
+
+    def _fast_stepper(self):
+        """The backend's stepper, built on first use."""
         if self._stepper is None:
             from ..accel import make_stepper
 
             self._stepper = make_stepper(self)
-        self._stepper.step(self)
+        return self._stepper
+
+    @property
+    def accel_path(self) -> str | None:
+        """The path the fast-path stepper takes (``None`` on ``reference``).
+
+        ``"lean"`` is the backend's own kernel; ``"bounded-fallback"``
+        (``aa`` with boundary objects) and ``"dense-fallback"``
+        (``sparse`` with inlets or outlets) name the fallbacks, so none
+        of them is silent.
+        """
+        if self.backend == "reference":
+            return None
+        return self._fast_stepper().path
 
     @abstractmethod
     def macroscopic(self) -> tuple[np.ndarray, np.ndarray]:

@@ -18,10 +18,13 @@ from repro.solver import (MRPSolver, PowerLawMRPSolver, channel_problem,
                           forced_channel_problem, make_solver,
                           periodic_problem)
 from repro.solver.non_newtonian import power_law_force
+from repro.service.registry import build_single
 from repro.validation import taylor_green_fields
 
 SCHEMES = ("ST", "MR-P", "MR-R")
 MACHINE_EPS = 1e-13
+#: Kinds whose parity is also checked with the registry's default options.
+REGISTRY_KINDS = ("channel", "forced-channel")
 
 
 def run_pair(build, backend, steps=8):
@@ -81,6 +84,17 @@ class TestFusedParity:
             lambda backend: channel_problem(scheme, "D2Q9", (24, 12),
                                             tau=0.8, u_max=0.04,
                                             backend=backend), "fused")
+        assert drho < MACHINE_EPS
+        assert du < MACHINE_EPS
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("kind", REGISTRY_KINDS)
+    def test_registry_defaults(self, kind, scheme):
+        """Fused == reference on the kind as users get it: registry
+        defaults (regularized-FD inlet, extrapolated outlet), no options."""
+        drho, du = run_pair(
+            lambda backend: build_single(kind, scheme, "D2Q9", (24, 12),
+                                         backend=backend), "fused")
         assert drho < MACHINE_EPS
         assert du < MACHINE_EPS
 
@@ -337,6 +351,23 @@ class TestBackendValidation:
         """A missing optional extra fails eagerly, not ten minutes in."""
         with pytest.raises(RuntimeError, match="numba is not installed"):
             periodic_problem("ST", "D2Q9", (8, 8), 0.8, backend="numba")
+
+
+class TestFallbackReport:
+    """Every stepper names the path it takes; no fallback is silent."""
+
+    @pytest.mark.parametrize("backend,kind,path", [
+        ("reference", "channel", None),
+        ("fused", "channel", "lean"),
+        ("aa", "taylor-green", "lean"),
+        ("aa", "channel", "bounded-fallback"),
+        ("sparse", "forced-channel", "lean"),
+        ("sparse", "channel", "dense-fallback"),
+    ])
+    @pytest.mark.parametrize("scheme", ["ST", "MR-P"])
+    def test_accel_path(self, scheme, backend, kind, path):
+        solver = build_single(kind, scheme, "D2Q9", (16, 10), backend=backend)
+        assert solver.accel_path == path
 
 
 @pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")

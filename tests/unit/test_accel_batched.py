@@ -22,6 +22,7 @@ from repro.accel.batched import (
 )
 from repro.ensemble import EnsembleRunner
 from repro.lattice import get_lattice
+from repro.service.registry import build_single
 from repro.solver import forced_channel_problem, periodic_problem
 from repro.validation import taylor_green_fields
 
@@ -82,6 +83,20 @@ class TestBatchedParity:
         for s in solos:
             s.run(10)
         EnsembleRunner(members).run(10)
+        assert_members_match(solos, members)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("kind", ["channel", "forced-channel"])
+    def test_registry_defaults(self, kind, scheme):
+        """Members built with registry defaults (per-member boundary plans
+        for the channel) match their independent fused runs."""
+        build = lambda: [build_single(kind, scheme, "D2Q9", (16, 10),
+                                      tau=tau, backend="fused")
+                         for tau in (0.8, 0.95)]              # noqa: E731
+        solos, members = build(), build()
+        for s in solos:
+            s.run(8)
+        EnsembleRunner(members).run(8)
         assert_members_match(solos, members)
 
     @pytest.mark.parametrize("scheme", SCHEMES)

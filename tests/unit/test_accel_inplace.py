@@ -19,11 +19,14 @@ from repro.boundary import HalfwayBounceBack
 from repro.geometry import SOLID, Domain, lid_driven_cavity, periodic_box
 from repro.io.checkpoint import restore_checkpoint, save_checkpoint
 from repro.lattice import get_lattice
+from repro.service.registry import build_single
 from repro.solver import (channel_problem, forced_channel_problem,
                           make_solver, periodic_problem)
 
 SCHEMES = ("ST", "MR-P", "MR-R")
 MACHINE_EPS = 1e-13
+#: Kinds whose parity is also checked with the registry's default options.
+REGISTRY_KINDS = ("channel", "forced-channel")
 
 
 def run_pair(build, steps=8, against="fused"):
@@ -102,6 +105,17 @@ class TestInplaceParity:
             lambda backend: channel_problem(scheme, "D2Q9", (24, 12),
                                             tau=0.8, u_max=0.04,
                                             backend=backend))
+        assert drho < MACHINE_EPS
+        assert du < MACHINE_EPS
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("kind", REGISTRY_KINDS)
+    def test_registry_defaults(self, kind, scheme):
+        """aa == reference on the kind built with registry defaults only."""
+        drho, du = run_pair(
+            lambda backend: build_single(kind, scheme, "D2Q9", (24, 12),
+                                         backend=backend),
+            against="reference")
         assert drho < MACHINE_EPS
         assert du < MACHINE_EPS
 

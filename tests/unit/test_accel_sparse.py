@@ -9,6 +9,7 @@ from repro.boundary import FullwayBounceBack, HalfwayBounceBack
 from repro.geometry import (Domain, cylinder_in_channel, lid_driven_cavity,
                             porous_medium)
 from repro.lattice import get_lattice
+from repro.service.registry import build_single
 from repro.solver import (STSolver, channel_problem, forced_channel_problem,
                           make_solver)
 
@@ -150,6 +151,18 @@ class TestDenseFallbackParity:
         def build(backend):
             return channel_problem(scheme, "D2Q9", (20, 12), tau=0.8,
                                    u_max=0.04, backend=backend)
+
+        assert run_pair(build, steps=6) < 1e-13
+
+    @pytest.mark.parametrize("scheme", ["ST", "MR-P", "MR-R"])
+    @pytest.mark.parametrize("kind", ["channel", "forced-channel"])
+    def test_registry_defaults(self, kind, scheme):
+        """Sparse == fused on the kind built with registry defaults only
+        (the channel takes the dense fallback, the forced channel folds)."""
+
+        def build(backend):
+            return build_single(kind, scheme, "D2Q9", (20, 12),
+                                backend=backend)
 
         assert run_pair(build, steps=6) < 1e-13
 

@@ -101,6 +101,18 @@ class TestCommands:
         assert rc == 0
         assert "accel = sparse" in capsys.readouterr().out
 
+    def test_run_reports_and_records_fallback(self, capsys, tmp_path):
+        """The sparse dense fallback is printed once and lands in the manifest."""
+        mpath = tmp_path / "run.manifest.json"
+        rc = main(["run", "--problem", "channel", "--scheme", "MR-R",
+                   "--shape", "24,12", "--steps", "4", "--accel", "sparse",
+                   "--report-interval", "2", "--manifest", str(mpath)])
+        assert rc == 0
+        assert capsys.readouterr().out.count("(dense-fallback path)") == 1
+        from repro.obs import load_manifest
+
+        assert load_manifest(mpath).extra["accel_path"] == "dense-fallback"
+
     def test_unsupported_accel_exits_2(self, capsys):
         """Backend rejections surface as a clean exit-2 error, no traceback."""
         rc = main(["run", "--problem", "channel", "--scheme", "ST",

@@ -190,6 +190,13 @@ class TestBackendComparison:
         out = capsys.readouterr().out
         assert "speedup" in out and "sparse" in out
 
+    def test_profile_reports_aa_fallback(self, capsys):
+        """``profile`` names the path the stepper took."""
+        rc = main(["profile", "--scheme", "ST", "--shape", "20,12",
+                   "--steps", "3", "--accel", "aa", "--no-traffic"])
+        assert rc == 0
+        assert "backend = aa (bounded-fallback path)" in capsys.readouterr().out
+
     def test_run_accel_flag(self, capsys):
         rc = main(["run", "--scheme", "MR-P", "--shape", "20,12",
                    "--steps", "6", "--accel", "fused"])
